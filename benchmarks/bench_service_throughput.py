@@ -143,7 +143,8 @@ def bench_service_throughput(report, merge_json):
 
     lines = [
         "Scheduling-service throughput — nile pool (12 hosts, 4095 candidates/request)",
-        f"(quick_mode={QUICK}, best of {REPEATS} runs, both arms on the fast path)",
+        f"(quick_mode={QUICK}, cpu_count={os.cpu_count()}, best of {REPEATS} runs,"
+        " both arms on the fast path)",
         "",
         f"{'batch':>6}{'service (s)':>13}{'solo loop (s)':>15}"
         f"{'service dec/s':>15}{'solo dec/s':>12}{'speedup':>9}",
@@ -154,7 +155,12 @@ def bench_service_throughput(report, merge_json):
             f"{r['service_dps']:>15.1f}{r['sequential_dps']:>12.1f}"
             f"{r['speedup']:>8.2f}x"
         )
-    data = {"quick_mode": QUICK, "repeats": REPEATS, "batches": rows}
+    data = {
+        "quick_mode": QUICK,
+        "cpu_count": os.cpu_count(),
+        "repeats": REPEATS,
+        "batches": rows,
+    }
     report("service_throughput", "\n".join(lines), data)
     merge_json("perf_suite", {"service_throughput": data})
 

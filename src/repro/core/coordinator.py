@@ -13,8 +13,8 @@ Jacobi2D prototype (§5):
 Everything the Coordinator knows comes from the shared Information Pool.
 
 Fast path (:mod:`repro.util.perf`, off under ``REPRO_NO_FASTPATH=1``): the
-Coordinator brackets the candidate loop with
-:meth:`~repro.core.infopool.InformationPool.begin_decision` — one forecast
+Coordinator brackets steps 2–3 with
+:meth:`~repro.core.infopool.InformationPool.decision_scope` — one forecast
 snapshot shared by every evaluation — and, when the Planner/Estimator pair
 exposes admissible lower bounds, skips candidate sets whose bound cannot
 beat the incumbent.  Bounds are *admissible* (never above the true
@@ -23,27 +23,36 @@ a relative epsilon, so the chosen schedule is bit-identical to the
 reference exhaustive loop; pruned rows stay in ``evaluations`` (objective
 ``inf``) and the counts are reported in :class:`PruningStats`.
 
-Vectorised solo decision (off under ``REPRO_NO_SOLO_VECTOR=1``, and
-implied off by ``REPRO_NO_FASTPATH=1``): when the Planner opts in through
+Batched decision core: when the Planner opts in through
 ``batch_planner(info)`` (the strip planner's ``batch_inputs`` /
 ``lower_bounds`` surface) and the Estimator exposes
-``objective_from_prediction``, ``schedule()`` stacks *all* candidate sets
-into one membership-mask matrix, evaluates them in a single
-:func:`~repro.jacobi.apples.evaluate_strip_batch` call (a one-job batch),
-and replays the incumbent/pruning order over the precomputed objectives
-with the canonical :func:`~repro.core.sweep.replay_sweep`.  The batched
-kernels replicate the scalar planner's float semantics
-operation-for-operation and surrender any row they cannot certify back to
-the scalar planner, the winner is materialised by the scalar planner and
-cross-checked, and the sweep control flow is shared with the scalar loop
-— so :class:`ScheduleDecision`, :class:`PruningStats`, and the obs event
-stream are bit-identical to the reference loop under both gate modes.
+``objective_from_prediction``, a decision runs in three steps.
+:meth:`AppLeSAgent.stage` stacks every candidate set into one
+membership-mask matrix and takes the bounds and rank-space batch inputs;
+:func:`~repro.jacobi.apples.evaluate_strip_batch` evaluates the staged
+jobs; :meth:`AppLeSAgent.conclude` replays the incumbent/pruning order
+over one job's objectives with the canonical
+:func:`~repro.core.sweep.replay_sweep` and materialises the winner.  Solo
+``schedule()`` is a batch of one through these steps; the scheduling
+service (:mod:`repro.service.core`) stages many configurations and
+evaluates them in one call.  The batched kernels replicate the scalar
+planner's float semantics operation-for-operation and surrender any row
+they cannot certify back to the scalar planner, and the winner is
+materialised by the scalar planner and cross-checked — so
+:class:`ScheduleDecision`, :class:`PruningStats`, and the obs event stream
+are bit-identical to the reference loop.  Configurations with no batch
+planner (several active decomposition families, the blocked family
+alone, or the nile, react and montecarlo planners) take the bounded
+scalar loop instead.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.actuator import Actuator, RecordingActuator
 from repro.core.estimator import PerformanceEstimator, make_estimator
@@ -52,14 +61,12 @@ from repro.core.planner import Planner
 from repro.core.schedule import Schedule
 from repro.core.selector import ResourceSelector
 from repro.core.sweep import (
-    PRUNE_RELATIVE_EPS,
     BatchedObjective,
     PruningStats,
     SweepResult,
     materialise_winner,
     objective_bounds,
     replay_sweep,
-    resolve_batch_planner,
 )
 from repro.obs.trace import get_tracer
 from repro.util import perf
@@ -69,6 +76,7 @@ __all__ = [
     "ScheduleDecision",
     "CandidateEvaluation",
     "PruningStats",
+    "StagedDecision",
     "record_pruning_stats",
 ]
 
@@ -89,10 +97,6 @@ def record_pruning_stats(metrics: Any, stats: "PruningStats") -> None:
     if stats.bounded:
         metrics.histogram("core.pruned_fraction").observe(stats.pruned_fraction)
 
-# The canonical epsilon now lives in repro.core.sweep; the underscored
-# alias predates the shared module and is kept for importers.
-_PRUNE_RELATIVE_EPS = PRUNE_RELATIVE_EPS
-
 
 @dataclass(frozen=True)
 class CandidateEvaluation:
@@ -102,7 +106,7 @@ class CandidateEvaluation:
     (``lower_bound`` > incumbent objective); their schedule is None and the
     objective ``inf``, mirroring an infeasible row for ranking purposes.
 
-    The vectorised solo path scores most candidates straight from the
+    The batched decision core scores most candidates straight from the
     batched prediction without materialising their Schedules, so a
     feasible row may carry ``schedule=None`` with a finite objective (the
     winner's Schedule is always materialised).
@@ -140,8 +144,9 @@ class ScheduleDecision:
         Candidate-search statistics (None when produced by code predating
         the fast path).
     vectorised:
-        Whether the one-shot candidate tensor sweep answered this decision
-        (False on the reference and scalar fast paths).
+        Whether the batched decision core answered this decision (False
+        on the reference path and for configurations with no batch
+        planner).
     """
 
     best: Schedule
@@ -202,6 +207,25 @@ class ScheduleDecision:
         return "\n".join(lines)
 
 
+class StagedDecision(NamedTuple):
+    """A batchable decision after :meth:`AppLeSAgent.stage`.
+
+    Pure functions of the candidate sets and the decision's forecast
+    snapshot, so the scheduling service keeps them across calls at one
+    pool state.
+    """
+
+    candidate_sets: list[tuple[str, ...]]
+    bounds: list[float] | None
+    inputs: Any  # repro.jacobi.apples.StripBatchInputs
+    masks: np.ndarray  # (m, n) membership in the inputs' locality-rank order
+
+    @property
+    def job(self) -> tuple[Any, np.ndarray]:
+        """This decision's entry for ``evaluate_strip_batch``."""
+        return self.inputs, self.masks
+
+
 class AppLeSAgent:
     """An application-level scheduling agent.
 
@@ -236,35 +260,67 @@ class AppLeSAgent:
         self.estimator = estimator
         self.actuator = actuator if actuator is not None else RecordingActuator()
         self._fast = perf.fastpath_enabled()
-        # The one-shot candidate tensor sweep is layered under the master
-        # fast path: REPRO_NO_SOLO_VECTOR=1 keeps the scalar fast path
-        # (pruned one-at-a-time planning) for honest A/B measurement.
-        self._vector = self._fast and perf.solo_vector_enabled()
 
-    def _lower_bounds(
-        self, candidate_sets: list[tuple[str, ...]]
-    ) -> list[float] | None:
-        """Admissible objective lower bound per candidate set, or None.
+    def candidate_sets(self) -> list[tuple[str, ...]]:
+        """Blueprint step 1: the Resource Selector's candidate sets.
 
-        Requires both optional hooks: the Planner's vectorized time bounds
-        and the Estimator's mapping from a time bound to an objective
-        bound.  Any failure disables pruning for this decision (the loop
-        below then degenerates to the reference exhaustive scan).
+        Raises ``RuntimeError`` when there are none (e.g. the User
+        Specification filtered everything out).
         """
-        planner_bounds = getattr(self.planner, "lower_bounds", None)
-        estimator_bound = getattr(self.estimator, "objective_lower_bound", None)
-        if planner_bounds is None or estimator_bound is None:
+        candidate_sets = self.selector.candidate_sets(self.info)
+        if not candidate_sets:
+            raise RuntimeError(
+                "Resource Selector produced no candidate sets "
+                "(User Specification too restrictive?)"
+            )
+        return candidate_sets
+
+    def batch_planner(self) -> Any | None:
+        """The planner that stages this agent's decisions, or ``None``.
+
+        Needs the fast path, an Estimator with ``objective_from_prediction``
+        and a Planner that opts in through ``batch_planner(info)`` —
+        returning an object with the ``batch_inputs``/``lower_bounds``
+        batching surface (usually itself; dispatchers return their single
+        active family, or ``None``).  Every other configuration decides
+        through the bounded scalar loop.  This is the one answer to "which
+        configurations vectorise", for solo and service decisions alike.
+        """
+        hook = getattr(self.planner, "batch_planner", None)
+        if (
+            not self._fast
+            or hook is None
+            or not hasattr(self.estimator, "objective_from_prediction")
+        ):
             return None
-        time_bounds = planner_bounds(candidate_sets, self.info)
-        if time_bounds is None or len(time_bounds) != len(candidate_sets):
-            return None
-        return [
-            estimator_bound(float(tb), rset, self.info)
-            for tb, rset in zip(time_bounds, candidate_sets)
-        ]
+        return hook(self.info)
+
+    @contextmanager
+    def decision_scope(self, snapshot: Any | None = None, reuse: Any | None = None):
+        """One decision: the Information Pool's decision scope plus the
+        Planner's optional ``begin_decision``/``end_decision`` hooks.
+
+        :meth:`stage` and :meth:`conclude` run inside it.  ``snapshot``
+        and ``reuse`` are passed to
+        :meth:`~repro.core.infopool.InformationPool.decision_scope`.
+        """
+        begin = getattr(self.planner, "begin_decision", None)
+        end = getattr(self.planner, "end_decision", None)
+        with self.info.decision_scope(snapshot, reuse=reuse) as cache:
+            if begin is not None:
+                begin(self.info)
+            try:
+                yield cache
+            finally:
+                if end is not None:
+                    end(self.info)
 
     def schedule(self, snapshot: Any | None = None) -> ScheduleDecision:
         """Run blueprint steps 1–3: select, plan, estimate, choose.
+
+        On the fast path a batchable configuration is a batch of one:
+        :meth:`stage`, one single-job ``evaluate_strip_batch`` call, then
+        :meth:`conclude` — the scheduling service's core with one request.
 
         Raises ``RuntimeError`` when no candidate resource set yields a
         feasible schedule (e.g. the User Specification filtered everything
@@ -280,44 +336,107 @@ class AppLeSAgent:
             bit-identical to taking a fresh one.  Ignored on the reference
             path, which re-queries the pool per candidate by design.
         """
-        candidate_sets = self.selector.candidate_sets(self.info)
-        if not candidate_sets:
-            raise RuntimeError(
-                "Resource Selector produced no candidate sets "
-                "(User Specification too restrictive?)"
-            )
+        candidate_sets = self.candidate_sets()
         if not self._fast:
-            return self._schedule_reference(candidate_sets)
-
-        begin = getattr(self.planner, "begin_decision", None)
-        end = getattr(self.planner, "end_decision", None)
-        with self.info.decision_scope(snapshot):
-            if begin is not None:
-                begin(self.info)
-            try:
-                if self._vector and hasattr(
-                    self.estimator, "objective_from_prediction"
-                ):
-                    bp = resolve_batch_planner(self.planner, self.info)
-                    if bp is not None:
-                        return self._schedule_vectorised(candidate_sets, bp)
-                bounds = self._lower_bounds(candidate_sets)
+            return self._schedule_loop(candidate_sets, None)
+        with self.decision_scope(snapshot):
+            staged = self.stage(candidate_sets)
+            if staged is None:
+                bounds = objective_bounds(self, self.planner, candidate_sets)
                 return self._schedule_loop(candidate_sets, bounds)
-            finally:
-                if end is not None:
-                    end(self.info)
+            # Deferred import: repro.jacobi builds on repro.core.
+            from repro.jacobi.apples import evaluate_strip_batch
 
-    def _schedule_reference(
-        self, candidate_sets: list[tuple[str, ...]]
+            (ev,) = evaluate_strip_batch([staged.job])
+            return self._traced(
+                candidate_sets,
+                staged.bounds,
+                lambda on_incumbent: self.conclude(
+                    staged, ev, on_incumbent, rows=True
+                ),
+            )
+
+    def stage(self, candidate_sets: list[tuple[str, ...]]) -> StagedDecision | None:
+        """Stage a batchable decision, or return ``None`` without a batch planner.
+
+        Runs inside a :meth:`decision_scope`.  One membership matrix
+        (pool-name order) serves the admissible bounds and, permuted to
+        the batch inputs' locality-rank order, the batched evaluator.
+        """
+        planner = self.batch_planner()
+        if planner is None:
+            return None
+        # Deferred import: repro.jacobi builds on repro.core.
+        from repro.jacobi.apples import member_masks_over
+
+        names = self.info.pool.machine_names()
+        name_masks = member_masks_over(candidate_sets, names)
+        bounds = objective_bounds(
+            self, planner, candidate_sets, member_mask=name_masks
+        )
+        inputs = planner.batch_inputs(self.info)
+        name_index = {m: k for k, m in enumerate(names)}
+        perm = np.array([name_index[m] for m in inputs.rank_names])
+        return StagedDecision(candidate_sets, bounds, inputs, name_masks[:, perm])
+
+    def conclude(
+        self,
+        staged: StagedDecision,
+        ev: Any,
+        on_incumbent: Callable[[int, float, bool], None] | None = None,
+        rows: bool = False,
     ) -> ScheduleDecision:
-        """The seed exhaustive loop — one plan+estimate per candidate set."""
-        return self._schedule_loop(candidate_sets, None)
+        """Choose the winner from one ``evaluate_strip_batch`` row ``ev``.
+
+        Runs inside the :meth:`decision_scope` of the decision.  A
+        :class:`BatchedObjective` scores each candidate from ``ev``
+        (planning surrendered rows with the scalar planner),
+        :func:`replay_sweep` reproduces the seed/incumbent/pruning order
+        (``on_incumbent`` sees every improvement), and
+        :func:`materialise_winner` plans and cross-checks the winner.
+        ``rows=True`` also builds the per-candidate ``evaluations``, which
+        solo ``schedule()`` reports and the scheduling service does not.
+        """
+        csets = staged.candidate_sets
+        bounds = staged.bounds
+        objective = BatchedObjective(self, csets, staged.inputs, ev)
+        result = replay_sweep(len(csets), bounds, objective, on_incumbent)
+        best = materialise_winner(self, csets, result)
+        evaluations = []
+        if rows:
+            schedules = {**objective.schedules, result.best_idx: best}
+            evaluations = self._rows(csets, bounds, result, schedules, objective.memo)
+        return ScheduleDecision(
+            best=best,
+            best_objective=result.best_objective,
+            evaluations=evaluations,
+            metric=self.info.userspec.performance_metric,
+            pruning=result.stats(bounds is not None),
+            vectorised=True,
+        )
 
     def _schedule_loop(
         self,
         candidate_sets: list[tuple[str, ...]],
         bounds: Sequence[float] | None,
     ) -> ScheduleDecision:
+        """One plan+estimate per unpruned candidate: the reference loop
+        (``bounds=None``) and the fast path for unbatchable configurations."""
+        return self._traced(
+            candidate_sets,
+            bounds,
+            lambda on_incumbent: self._candidate_sweep(
+                candidate_sets, bounds, on_incumbent
+            ),
+        )
+
+    def _traced(
+        self,
+        candidate_sets: list[tuple[str, ...]],
+        bounds: Sequence[float] | None,
+        sweep: Callable[[Any], ScheduleDecision],
+    ) -> ScheduleDecision:
+        """Run ``sweep(on_incumbent)`` inside the ``core.decision`` span."""
         # Observability (repro.obs): the span/metric calls below only read
         # decision state, never influence it — tracing on/off is
         # bit-identical.  When tracing is off they hit the no-op tracer.
@@ -333,9 +452,7 @@ class AppLeSAgent:
             candidates=len(candidate_sets),
             bounded=bounds is not None,
         ) as span:
-            decision = self._candidate_sweep(
-                candidate_sets, bounds, span if traced else None, t_dec
-            )
+            decision = sweep(self._incumbent_hook(span if traced else None, t_dec))
             if traced:
                 stats = decision.pruning
                 span.attrs.update(
@@ -370,8 +487,7 @@ class AppLeSAgent:
         self,
         candidate_sets: list[tuple[str, ...]],
         bounds: Sequence[float] | None,
-        span: Any | None,
-        t_dec: float | None,
+        on_incumbent: Callable[[int, float, bool], None] | None,
     ) -> ScheduleDecision:
         schedules: dict[int, Schedule | None] = {}
         objectives: dict[int, float] = {}
@@ -387,132 +503,42 @@ class AppLeSAgent:
             objectives[idx] = obj
             return obj
 
-        result = replay_sweep(
-            len(candidate_sets), bounds, objective,
-            self._incumbent_hook(span, t_dec),
-        )
+        result = replay_sweep(len(candidate_sets), bounds, objective, on_incumbent)
         if result.best_idx < 0:
             raise RuntimeError(
                 f"no feasible schedule across {len(candidate_sets)} candidate resource sets"
             )
-        evaluations: list[CandidateEvaluation] = []
-        for idx, rset in enumerate(candidate_sets):
-            if result.pruned[idx]:
-                evaluations.append(
-                    CandidateEvaluation(
-                        rset, None, float("inf"),
-                        pruned=True, lower_bound=bounds[idx],
-                    )
-                )
-            else:
-                evaluations.append(
-                    CandidateEvaluation(rset, schedules[idx], objectives[idx])
-                )
         return ScheduleDecision(
             best=schedules[result.best_idx],
             best_objective=result.best_objective,
-            evaluations=evaluations,
+            evaluations=self._rows(
+                candidate_sets, bounds, result, schedules, objectives
+            ),
             metric=self.info.userspec.performance_metric,
             pruning=result.stats(bounds is not None),
         )
 
-    def _schedule_vectorised(
-        self, candidate_sets: list[tuple[str, ...]], batch_planner: Any
-    ) -> ScheduleDecision:
-        """One-shot candidate tensor sweep: the whole decision in one batch.
-
-        Stacks every candidate set into a membership-mask matrix, evaluates
-        all of them in a single one-job ``evaluate_strip_batch`` call, then
-        replays the canonical sweep over the precomputed objectives.  Rows
-        the batched core surrendered are planned by the scalar planner on
-        demand; the winner is materialised by the scalar planner and
-        cross-checked.  Runs inside the decision scope ``schedule()``
-        already opened, so all snapshot/model/plan memos are shared with
-        any scalar fallbacks.
-        """
-        # Deferred import: repro.jacobi builds on repro.core.
-        import numpy as np
-
-        from repro.jacobi.apples import evaluate_strip_batch, member_masks_over
-
-        info = self.info
-        names = info.pool.machine_names()
-        name_masks = member_masks_over(candidate_sets, names)
-        bounds = objective_bounds(
-            self, batch_planner, candidate_sets, member_mask=name_masks
-        )
-        inputs = batch_planner.batch_inputs(info)
-        name_index = {m: k for k, m in enumerate(names)}
-        perm = np.array([name_index[m] for m in inputs.rank_names])
-        (ev,) = evaluate_strip_batch([(inputs, name_masks[:, perm])])
-
-        tracer = get_tracer()
-        traced = tracer.enabled
-        nws = info.pool.nws
-        t_dec = float(nws.now) if nws is not None else None
-        with tracer.span(
-            "core.decision",
-            layer="core",
-            t=t_dec,
-            metric=info.userspec.performance_metric,
-            candidates=len(candidate_sets),
-            bounded=bounds is not None,
-        ) as span:
-            objective = BatchedObjective(self, candidate_sets, inputs, ev)
-            result = replay_sweep(
-                len(candidate_sets), bounds, objective,
-                self._incumbent_hook(span if traced else None, t_dec),
-            )
-            best = materialise_winner(self, candidate_sets, result)
-            stats = result.stats(bounds is not None)
-            decision = ScheduleDecision(
-                best=best,
-                best_objective=result.best_objective,
-                evaluations=self._batched_evaluations(
-                    candidate_sets, bounds, result, objective, best
-                ),
-                metric=info.userspec.performance_metric,
-                pruning=stats,
-                vectorised=True,
-            )
-            if traced:
-                span.attrs.update(
-                    best_objective=decision.best_objective,
-                    planned=stats.planned,
-                    pruned=stats.pruned,
-                )
-                record_pruning_stats(tracer.metrics, stats)
-        return decision
-
     @staticmethod
-    def _batched_evaluations(
+    def _rows(
         candidate_sets: list[tuple[str, ...]],
         bounds: Sequence[float] | None,
         result: SweepResult,
-        objective: BatchedObjective,
-        best: Schedule,
+        schedules: dict[int, Schedule | None],
+        objectives: dict[int, float],
     ) -> list[CandidateEvaluation]:
-        """Per-candidate rows of a vectorised decision, in candidate order.
+        """Per-candidate ``evaluations`` rows, in candidate order.
 
-        Pruned rows mirror the scalar fast path exactly; evaluated rows
-        carry the batched objective with ``schedule=None`` unless the
-        scalar planner ran for them (surrendered rows and the winner).
+        Pruned rows carry their bound; a planned row carries its objective
+        and, where one was planned, its schedule.
         """
-        evaluations: list[CandidateEvaluation] = []
-        for idx, rset in enumerate(candidate_sets):
-            if result.pruned[idx]:
-                evaluations.append(
-                    CandidateEvaluation(
-                        rset, None, float("inf"),
-                        pruned=True, lower_bound=bounds[idx],
-                    )
-                )
-                continue
-            sched = best if idx == result.best_idx else objective.schedules.get(idx)
-            evaluations.append(
-                CandidateEvaluation(rset, sched, objective.memo[idx])
+        return [
+            CandidateEvaluation(
+                rset, None, float("inf"), pruned=True, lower_bound=bounds[idx]
             )
-        return evaluations
+            if result.pruned[idx]
+            else CandidateEvaluation(rset, schedules.get(idx), objectives[idx])
+            for idx, rset in enumerate(candidate_sets)
+        ]
 
     def run(self, t0: float = 0.0) -> tuple[ScheduleDecision, Any]:
         """Blueprint steps 1–4: schedule, then actuate the winner at ``t0``."""

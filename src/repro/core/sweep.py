@@ -3,11 +3,7 @@
 One scheduling decision is, at its core, a *sweep* over candidate resource
 sets: evaluate each set's objective, keep the best, and — when admissible
 lower bounds are available — skip sets whose bound cannot beat the
-incumbent.  Before this module, the sweep existed twice: once inside
-``AppLeSAgent._candidate_sweep`` (planning candidates one at a time) and
-once inside ``SchedulingService._sweep`` (replaying precomputed batched
-objectives).  Both replicas had to agree decision-for-decision; now they
-*are* one implementation.
+incumbent.  This module is the one implementation of that sweep.
 
 :func:`replay_sweep` is the pure control flow — the seed-candidate choice,
 the incumbent updates (strict minimum, ties to the earlier index), and the
@@ -15,11 +11,14 @@ pruning predicate with its relative epsilon.  It is parameterised only by
 an ``objective(idx)`` callable, so the same code drives
 
 - the Coordinator's scalar loop (``objective`` plans and estimates one
-  candidate),
-- the Coordinator's vectorised solo fast path and the scheduling
-  service's batched core (``objective`` reads a precomputed
+  candidate) — the reference path and configurations with no batch
+  planner;
+- the batched decision core, ``AppLeSAgent.stage`` → one
+  :func:`~repro.jacobi.apples.evaluate_strip_batch` call →
+  ``AppLeSAgent.conclude`` (``objective`` reads a precomputed
   :class:`~repro.jacobi.apples.StripBatchEvaluation` row via
-  :class:`BatchedObjective`).
+  :class:`BatchedObjective`).  Solo ``schedule()`` runs it as a batch of
+  one, the scheduling service as a batch of many.
 
 Because every consumer replays the identical incumbent/pruning order, the
 chosen schedule, the :class:`PruningStats`, and the ``core.incumbent``
@@ -39,7 +38,6 @@ __all__ = [
     "replay_sweep",
     "BatchedObjective",
     "materialise_winner",
-    "resolve_batch_planner",
     "objective_bounds",
 ]
 
@@ -192,8 +190,8 @@ class BatchedObjective:
     - remaining rows mirror ``plan() is None`` (objective ``inf``).
 
     ``memo``/``schedules`` expose what one sweep actually computed, keyed
-    by candidate index: the Coordinator's vectorised solo path turns them
-    into ``ScheduleDecision.evaluations`` rows.
+    by candidate index: ``AppLeSAgent.conclude`` turns them into
+    ``ScheduleDecision.evaluations`` rows for solo ``schedule()``.
     """
 
     __slots__ = ("_agent", "_csets", "_rank_names", "_ev", "memo", "schedules")
@@ -234,7 +232,7 @@ class BatchedObjective:
 def materialise_winner(agent: Any, csets: Sequence, result: SweepResult) -> Any:
     """Plan the sweep winner with the scalar planner and cross-check it.
 
-    The vectorised paths never answer with a number the scalar path would
+    The batched core never answers with a number the scalar path would
     not have produced: the winner's schedule is materialised by the real
     planner and its objective compared against the batched prediction — a
     divergence raises instead of answering wrong.  Raises ``RuntimeError``
@@ -253,22 +251,6 @@ def materialise_winner(agent: Any, csets: Sequence, result: SweepResult) -> Any:
     return best
 
 
-def resolve_batch_planner(planner: Any, info: Any) -> Any | None:
-    """The planner to drive the one-shot batched sweep with, or ``None``.
-
-    Planners opt in by exposing ``batch_planner(info)`` — returning an
-    object with the ``batch_inputs``/``lower_bounds`` batching surface
-    (usually themselves; dispatchers return their single active family).
-    Used identically by the Coordinator's vectorised solo path and the
-    scheduling service's batched core, so "which configurations vectorise"
-    has exactly one answer.
-    """
-    hook = getattr(planner, "batch_planner", None)
-    if hook is None:
-        return None
-    return hook(info)
-
-
 def objective_bounds(
     agent: Any,
     planner: Any,
@@ -277,11 +259,13 @@ def objective_bounds(
 ) -> list[float] | None:
     """Admissible objective lower bound per candidate set, or ``None``.
 
-    ``AppLeSAgent._lower_bounds`` with the membership matrix reused: for a
-    batchable configuration the dispatcher has exactly one active family,
-    so that family's time bounds are the dispatcher's own — computed here
-    with the precomputed masks, then mapped through the estimator's
-    objective bound exactly like the Coordinator does.  Same floats as the
+    Requires both optional hooks: the planner's vectorised time bounds
+    (``lower_bounds``) and the estimator's mapping from a time bound to an
+    objective bound (``objective_lower_bound``).  ``member_mask``, when
+    given, is the candidates' precomputed membership matrix, which the
+    planner reuses instead of rebuilding it.  For a batchable
+    configuration the dispatcher has exactly one active family, so that
+    family's time bounds are the dispatcher's own — same floats as the
     scalar path, by construction.
     """
     estimator_bound = getattr(agent.estimator, "objective_lower_bound", None)

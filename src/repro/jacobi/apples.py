@@ -448,7 +448,7 @@ class JacobiPlanner:
 
     def batch_planner(self, info: InformationPool) -> "JacobiPlanner":
         """Opt in to the one-shot batched sweep: the strip planner batches
-        itself (see :func:`repro.core.sweep.resolve_batch_planner`)."""
+        itself (see :meth:`repro.core.coordinator.AppLeSAgent.batch_planner`)."""
         return self
 
     def batch_inputs(self, info: InformationPool) -> "StripBatchInputs":
@@ -617,7 +617,7 @@ def evaluate_strip_batch(
             raise ValueError("all jobs must share one machine universe size")
 
     if len(jobs) == 1:
-        # Single-job lane (the Coordinator's vectorised solo decision):
+        # Single-job lane (solo schedule(), a batch of one):
         # no cross-job stacking — per-job arrays are viewed with a length-1
         # leading axis instead of copied through np.stack, and the row→job
         # map is all zeros.  Same arrays, same floats, less batching tax.

@@ -15,16 +15,21 @@ request's own agent would have decided alone:
 - one :class:`~repro.nws.snapshot.ForecastSnapshot` per decision instant
   is shared across the batch (snapshots are pure caches, so shared and
   private snapshots yield the same values);
-- all candidate sets of all requests are evaluated at once by
+- each unique configuration is staged by
+  :meth:`~repro.core.coordinator.AppLeSAgent.stage`, and all candidate
+  sets of all staged requests are evaluated at once by
   :func:`~repro.jacobi.apples.evaluate_strip_batch`, whose kernels
   replicate the scalar planner's float semantics operation-for-operation
   and *surrender* (flag for scalar planning) any row they cannot certify;
-- the Coordinator's prune-and-choose sweep is replayed per request with
-  the precomputed objectives, reproducing the incumbent/pruning sequence
-  and the winner's identity exactly;
-- the winning schedule is materialised by the scalar planner, and its
-  objective is checked against the batched prediction — a divergence
-  raises instead of answering wrong.
+- each request is then concluded by
+  :meth:`~repro.core.coordinator.AppLeSAgent.conclude`, which replays the
+  Coordinator's prune-and-choose sweep over the precomputed objectives
+  and materialises and cross-checks the winner with the scalar planner.
+
+Solo ``schedule()`` runs the same stage → evaluate → conclude steps as a
+batch of one, so solo and batched answers cannot drift.  Configurations
+with no batch planner are answered by a solo ``schedule()`` under the
+shared snapshot.
 
 With the fast path disabled (``REPRO_NO_FASTPATH=1``) the service
 degenerates to a plain sequential loop of solo ``schedule()`` calls — the
@@ -50,45 +55,32 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.coordinator import AppLeSAgent, record_pruning_stats
-from repro.core.sweep import (
-    BatchedObjective,
+from repro.core.resources import ResourcePool
+from repro.core.selector import ResourceSelector
+
+# AppLeSAgent.stage/conclude call the sweep and mask helpers through their
+# own modules; the names stay importable here because benchmark tooling
+# wraps them on this module to time each layer.
+from repro.core.sweep import (  # noqa: F401
     materialise_winner,
     objective_bounds,
     replay_sweep,
-    resolve_batch_planner,
 )
-from repro.obs.trace import get_tracer
-from repro.core.resources import ResourcePool
-from repro.core.selector import ResourceSelector
-import numpy as np
-
-from repro.jacobi.apples import (
-    JacobiPlanner,
+from repro.jacobi.apples import (  # noqa: F401
     evaluate_strip_batch,
     make_jacobi_agent,
     member_masks_over,
 )
 from repro.nws.service import NetworkWeatherService
+from repro.obs.trace import get_tracer
 from repro.service.requests import DecisionRequest, ServiceAnswer
 from repro.sim.testbeds import Testbed
 from repro.util import perf
 
 __all__ = ["SchedulingService"]
-
-
-class _Staged:
-    """Per-configuration staging for one pool state (pure snapshot functions)."""
-
-    __slots__ = ("agent", "planner", "csets", "bounds", "inputs", "perm_masks")
-
-    def __init__(self, agent, planner, csets, bounds, inputs, perm_masks) -> None:
-        self.agent = agent
-        self.planner = planner
-        self.csets = csets
-        self.bounds = bounds
-        self.inputs = inputs
-        self.perm_masks = perm_masks
 
 
 class _PoolState:
@@ -195,13 +187,14 @@ class SchedulingService:
 
     @staticmethod
     def _count_solo(tracer, vectorised: bool) -> None:
-        """Count one solo ``schedule()`` answer by the path that made it.
+        """Count one decision by the path that made it.
 
         ``service.solo_vectorised`` vs ``service.solo_scalar``: every
-        decision the service answers through a single agent — the
-        reference sequential loop and the scalar-config fallback — lands
-        in one of the two, so the daemon's obs stream shows exactly how
-        many decisions the one-shot tensor sweep served.
+        decision the service computes lands in one of the two — the
+        batched core in the first, the reference sequential loop and
+        configurations with no batch planner in the second — so the
+        daemon's obs stream shows exactly how many decisions the batched
+        core served.
         """
         name = "service.solo_vectorised" if vectorised else "service.solo_scalar"
         tracer.metrics.counter(name).inc()
@@ -255,17 +248,6 @@ class SchedulingService:
             self._state = state
         return state
 
-    @staticmethod
-    def _strip_planner(agent: AppLeSAgent) -> JacobiPlanner | None:
-        """The single active strip planner, when the config is batchable.
-
-        Resolved through the same ``batch_planner`` hook the Coordinator's
-        vectorised solo path uses, so "which configurations vectorise" has
-        exactly one answer across solo and batched entry points.
-        """
-        planner = resolve_batch_planner(agent.planner, agent.info)
-        return planner if isinstance(planner, JacobiPlanner) else None
-
     def _decide_group(self, requests, group, at, answers) -> None:
         """Answer one instant's requests through the batched core."""
         # One snapshot for the whole instant: every agent's pool wraps the
@@ -282,10 +264,9 @@ class SchedulingService:
             configs.setdefault(requests[i].config_key(), []).append(i)
 
         # Phase A: per unique config, build the agent, enumerate candidate
-        # sets (outside the decision, like schedule()), take bounds and
-        # rank-space batch inputs inside a shared-snapshot decision scope.
-        staged = []  # (indices, config key, _Staged)
-        jobs = []
+        # sets (outside the decision, like schedule()) and stage the
+        # decision inside a shared-snapshot decision scope.
+        staged = []  # (indices, config key, agent, StagedDecision)
         for key, idxs in configs.items():
             answer = state.answers.get(key)
             if answer is not None:
@@ -297,21 +278,12 @@ class SchedulingService:
                 for i in idxs:
                     answers[i] = answer
                 continue
-            st = state.staged.get(key)
-            if st is None:
+            entry = state.staged.get(key)
+            if entry is None:
                 agent = self._agent(requests[idxs[0]], key)
-                planner = self._strip_planner(agent)
-                batchable = (
-                    agent._fast
-                    and planner is not None
-                    and hasattr(agent.estimator, "objective_from_prediction")
-                )
-                if not batchable:
+                if agent.batch_planner() is None:
                     # Sequential answer under the shared snapshot — still
                     # one solo decision, bit-identical by snapshot purity.
-                    # The agent's own vectorised path may still engage here
-                    # (e.g. a service gate the solo gate doesn't share);
-                    # count whichever path answered.
                     if tracer.enabled:
                         tracer.metrics.counter("service.scalar_configs").inc()
                     decision = agent.schedule(snapshot=snapshot)
@@ -322,37 +294,20 @@ class SchedulingService:
                     for i in idxs:
                         answers[i] = answer
                     continue
-                csets = agent.selector.candidate_sets(agent.info)
-                if not csets:
-                    raise RuntimeError(
-                        "Resource Selector produced no candidate sets "
-                        "(User Specification too restrictive?)"
-                    )
-                # One membership matrix per request, shared by the bounds
-                # computation and the batched evaluator (pool-name order
-                # here, permuted to locality-rank order below).
-                names = agent.info.pool.machine_names()
-                name_masks = member_masks_over(csets, names)
-                with agent.info.decision_scope(
+                csets = agent.candidate_sets()
+                with agent.decision_scope(
                     snapshot, reuse=state.decisions.get(key)
                 ) as cache:
                     state.decisions[key] = cache
-                    bounds = self._bounds(agent, planner, csets, name_masks)
-                    inputs = planner.batch_inputs(agent.info)
-                name_index = {m: k for k, m in enumerate(names)}
-                perm = np.array([name_index[m] for m in inputs.rank_names])
-                st = _Staged(
-                    agent, planner, csets, bounds, inputs, name_masks[:, perm]
-                )
-                state.staged[key] = st
+                    entry = (agent, agent.stage(csets))
+                state.staged[key] = entry
             elif tracer.enabled:
                 tracer.metrics.counter("service.reuse.staged_hits").inc()
-            staged.append((idxs, key, st))
-            jobs.append((st.inputs, st.perm_masks))
+            staged.append((idxs, key) + entry)
 
         # Phase B: one vectorised evaluation over every candidate set of
-        # every staged request, then per-request sweep replays.
-        evaluations = evaluate_strip_batch(jobs)
+        # every staged request, then each request's sweep replay.
+        evaluations = evaluate_strip_batch([st.job for *_, st in staged])
         if tracer.enabled and evaluations:
             surrendered = sum(
                 int(np.count_nonzero(ev.fallback)) for ev in evaluations
@@ -370,70 +325,26 @@ class SchedulingService:
                 configs=len(evaluations), rows=total_rows,
                 surrendered=surrendered,
             )
-        for (idxs, key, st), ev in zip(staged, evaluations):
-            agent = st.agent
-            with agent.info.decision_scope(
+        for (idxs, key, agent, st), ev in zip(staged, evaluations):
+            with agent.decision_scope(
                 snapshot, reuse=state.decisions.get(key)
             ) as cache:
                 state.decisions[key] = cache
-                begin = getattr(agent.planner, "begin_decision", None)
-                end = getattr(agent.planner, "end_decision", None)
-                if begin is not None:
-                    begin(agent.info)
-                try:
-                    answer = self._sweep(
-                        agent, st.csets, st.bounds, st.inputs, ev, at
-                    )
-                finally:
-                    if end is not None:
-                        end(agent.info)
-            state.answers[key] = answer
+                decision = agent.conclude(st, ev)
             if tracer.enabled:
-                # Each batched config is one solo decision answered by the
-                # vectorised core — same instrument as the scalar branch.
+                # Batched decisions land in the same instruments as solo
+                # ones — one pruning history regardless of which path
+                # answered — and each counts as one vectorised solo
+                # decision.
+                stats = decision.pruning
+                record_pruning_stats(tracer.metrics, stats)
+                tracer.event(
+                    "service.decision", layer="service", t=at,
+                    candidates=stats.candidates, pruned=stats.pruned,
+                    best_objective=decision.best_objective,
+                )
                 self._count_solo(tracer, True)
+            answer = ServiceAnswer.from_decision(decision, at=at)
+            state.answers[key] = answer
             for i in idxs:
                 answers[i] = answer
-
-    @staticmethod
-    def _bounds(agent, planner, csets, name_masks) -> list[float] | None:
-        """``AppLeSAgent._lower_bounds`` with the membership matrix reused.
-
-        Delegates to the canonical :func:`repro.core.sweep.objective_bounds`
-        — the same helper the Coordinator's vectorised solo path uses.
-        """
-        return objective_bounds(agent, planner, csets, member_mask=name_masks)
-
-    def _sweep(self, agent, csets, bounds, inputs, ev, at) -> ServiceAnswer:
-        """Replay the Coordinator's prune-and-choose loop on batched results.
-
-        One call into the canonical sweep core
-        (:mod:`repro.core.sweep`): a :class:`BatchedObjective` scores each
-        candidate from the batched evaluation (planning surrendered rows
-        with the scalar planner, inside the same decision scope),
-        :func:`replay_sweep` reproduces the seed/incumbent/pruning
-        sequence, and :func:`materialise_winner` plans and cross-checks
-        the winner — the identical code path the vectorised solo
-        ``schedule()`` runs, so solo and batched answers cannot drift.
-        """
-        objective = BatchedObjective(agent, csets, inputs, ev)
-        result = replay_sweep(len(csets), bounds, objective)
-        best = materialise_winner(agent, csets, result)
-        stats = result.stats(bounds is not None)
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Batched decisions land in the same instruments as solo ones —
-            # one pruning history regardless of which path answered.
-            record_pruning_stats(tracer.metrics, stats)
-            tracer.event(
-                "service.decision", layer="service", t=at,
-                candidates=stats.candidates, pruned=stats.pruned,
-                best_objective=result.best_objective,
-            )
-        return ServiceAnswer(
-            best=best,
-            best_objective=result.best_objective,
-            metric=agent.info.userspec.performance_metric,
-            pruning=stats,
-            at=at,
-        )

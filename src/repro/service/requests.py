@@ -92,7 +92,7 @@ class ServiceAnswer:
 
     @classmethod
     def from_decision(cls, decision: ScheduleDecision, at: float) -> "ServiceAnswer":
-        """Wrap a full Coordinator decision (the sequential/oracle path)."""
+        """Wrap a Coordinator decision (batched core or solo loop)."""
         return cls(
             best=decision.best,
             best_objective=decision.best_objective,

@@ -15,7 +15,9 @@ switch that selects between them:
 Keeping both live serves three purposes: regression tests can assert the
 optimised code agrees with the reference, benchmarks can measure the
 speedup honestly, and a suspected fast-path bug can be ruled out in one
-line (``REPRO_NO_FASTPATH=1``).
+line (``REPRO_NO_FASTPATH=1``).  It is the only switch: the scheduling
+decision, for example, has one batched core (solo ``schedule()`` runs it
+as a batch of one) beside the reference loop.
 
 The switch is read at *construction* time by each component, so toggling
 it mid-experiment only affects objects built afterwards.
@@ -30,22 +32,9 @@ __all__ = [
     "fastpath_enabled",
     "set_fastpath",
     "fastpath",
-    "solo_vector_enabled",
-    "set_solo_vector",
-    "solo_vector",
 ]
 
 _FASTPATH = os.environ.get("REPRO_NO_FASTPATH", "").strip().lower() not in (
-    "1", "true", "yes", "on",
-)
-
-# The vectorised *solo* decision (one-shot candidate tensor sweep inside
-# AppLeSAgent.schedule) has its own switch layered under the master one:
-# REPRO_NO_SOLO_VECTOR=1 keeps the PR2 scalar fast path (snapshot scope +
-# lower-bound pruning, candidates planned one at a time) while leaving
-# every other optimisation on.  Benchmarks use it to measure the scalar
-# and vectorised arms against each other honestly.
-_SOLO_VECTOR = os.environ.get("REPRO_NO_SOLO_VECTOR", "").strip().lower() not in (
     "1", "true", "yes", "on",
 )
 
@@ -71,30 +60,3 @@ def fastpath(enabled: bool):
         yield
     finally:
         set_fastpath(previous)
-
-
-def solo_vector_enabled() -> bool:
-    """Whether newly-constructed agents may vectorise their solo sweep.
-
-    Only meaningful with the master fast path on: ``REPRO_NO_FASTPATH=1``
-    disables the scalar fast path *and* this layer.
-    """
-    return _SOLO_VECTOR
-
-
-def set_solo_vector(enabled: bool) -> bool:
-    """Set the solo-vectorisation switch; returns the new value."""
-    global _SOLO_VECTOR
-    _SOLO_VECTOR = bool(enabled)
-    return _SOLO_VECTOR
-
-
-@contextmanager
-def solo_vector(enabled: bool):
-    """Temporarily force the solo-vectorisation switch."""
-    previous = _SOLO_VECTOR
-    set_solo_vector(enabled)
-    try:
-        yield
-    finally:
-        set_solo_vector(previous)

@@ -2,9 +2,9 @@
 cross-entry-point pin.
 
 ``replay_sweep`` is the one implementation of the seeded-incumbent,
-epsilon-margin-pruning candidate sweep; the Coordinator's solo
-``schedule()`` (scalar and vectorised) and the scheduling service's
-batched ``_sweep`` all replay it.  The unit tests pin its control flow —
+epsilon-margin-pruning candidate sweep; the Coordinator's scalar loop and
+its batched core (``AppLeSAgent.conclude``, which solo ``schedule()`` and
+the scheduling service share) both replay it.  The unit tests pin its control flow —
 seed choice, evaluation order, the pruning predicate, tie-breaking — and
 the integration test pins that both entry points report the *identical*
 :class:`PruningStats` for the same decision, which is the whole point of

@@ -134,12 +134,12 @@ class TestArenaDocumented:
 
 
 class TestSoloVectorDocumented:
-    """The unified vectorised decision core and its kill switch."""
+    """The one decision core: solo ``schedule()`` is a batch of one."""
 
     @pytest.mark.parametrize("doc", ["README.md", "docs/TUTORIAL.md", "DESIGN.md"])
     def test_docs_cover_vectorised_solo_decision(self, doc):
         text = (ROOT / doc).read_text()
-        for needle in ("REPRO_NO_SOLO_VECTOR", "repro.core.sweep",
+        for needle in ("batch of one", "repro.core.sweep",
                        "bench_solo_decision"):
             assert needle in text, f"{doc} does not document {needle}"
 
@@ -150,10 +150,13 @@ class TestSoloVectorDocumented:
             assert needle in text, f"README does not document {needle}"
 
     def test_gate_flags_exist(self):
+        """``REPRO_NO_FASTPATH`` is the one decision gate; the retired
+        solo-only switch must not come back."""
         from repro.util import perf
 
-        assert hasattr(perf, "solo_vector")
-        assert hasattr(perf, "solo_vector_enabled")
+        assert hasattr(perf, "fastpath")
+        assert not any(name.startswith("solo_") for name in dir(perf))
+        assert not any("solo" in name for name in perf.__all__)
 
 
 class TestReserveDocumented:

@@ -273,10 +273,13 @@ class TestEnsembleObs:
                    for r in tr.records())
 
     def test_compile_event_and_counters(self):
+        """The compile event belongs to the batched backend, so the fast
+        path is pinned: the oracle environment runs the reference loop."""
         from repro.sim.execution_ensemble import run_ensemble
         from repro.sim.jobs import make_injectable
         from repro.sim.execution_ensemble import ReplicaSpec, ring_assignments
         from repro.sim.testbeds import sdsc_pcl_testbed
+        from repro.util import perf
 
         testbed = sdsc_pcl_testbed(seed=9)
         for injector in make_injectable(testbed).values():
@@ -284,7 +287,7 @@ class TestEnsembleObs:
         specs = self._specs(2) + [
             ReplicaSpec(testbed.topology, ring_assignments(testbed))
         ]
-        with tracing() as tr:
+        with perf.fastpath(True), tracing() as tr:
             run_ensemble(specs, 5)
         events = [r for r in tr.records()
                   if r["kind"] == "event" and r["name"] == "sim.ensemble.compile"]

@@ -487,10 +487,11 @@ class TestObservability:
 
     def test_solo_decision_path_counters(self):
         """Every answered request is attributed to exactly one decision
-        path: ``service.solo_vectorised`` (the one-shot tensor sweep /
-        batched core) or ``service.solo_scalar`` (the per-candidate
-        loop).  Which side fires follows the ambient gate the suite runs
-        under — the counters are how operators see the split."""
+        path: ``service.solo_vectorised`` (the batched core) or
+        ``service.solo_scalar`` (the per-candidate loop, which now runs
+        only on the reference path and for configurations with no batch
+        planner).  Which side fires follows the ambient gate the suite
+        runs under — the counters are how operators see the split."""
         requests = [_request(k) for k in range(4)]
         with tracing() as tr:
             daemon = SchedulingDaemon([_spec()], queue_capacity=16)
@@ -508,9 +509,9 @@ class TestObservability:
             assert scalar == len(requests) and vectorised == 0
 
     def test_scalar_config_counts_as_scalar_solo(self):
-        """A configuration the batched core cannot take (two active
-        decomposition families) is answered by a solo scalar decision —
-        and counted as one."""
+        """A configuration with no batch planner (two active decomposition
+        families) is answered by a solo decision through the bounded
+        scalar loop — and counted as ``service.solo_scalar``."""
         spec = UserSpecification(decomposition_preference=("strip", "blocked"))
         request = DecisionRequest(
             problem=JacobiProblem(n=600, iterations=10), userspec=spec, at=AT

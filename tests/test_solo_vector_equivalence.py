@@ -1,23 +1,26 @@
-"""Differential suite: vectorised solo decision ≡ scalar fast path ≡ reference.
+"""Differential suite: the batched solo decision ≡ the reference loop.
 
-The one-shot tensor sweep (``AppLeSAgent._schedule_vectorised``) claims to
-change *nothing observable* about a solo decision.  These tests force each
-arm explicitly — ``reference`` (``REPRO_NO_FASTPATH`` semantics),
-``scalar`` (the PR2 fast path with ``REPRO_NO_SOLO_VECTOR`` semantics) and
-``vector`` — around agent construction, so all three read the same
-forecasts, and assert bit-identity:
+Solo ``schedule()`` on the fast path is a batch of one through the
+scheduling service's core (``AppLeSAgent.stage`` → ``evaluate_strip_batch``
+→ ``AppLeSAgent.conclude``), and it claims to change *nothing observable*
+about a decision.  These tests force each arm explicitly — ``reference``
+(``REPRO_NO_FASTPATH`` semantics) and ``fast`` — around agent
+construction, so both read the same forecasts, and assert bit-identity:
 
-- winner resource set, allocations, predicted time, objective — across
-  all three arms (the reference loop is the ground truth);
+- winner resource set, allocations, predicted time, objective — the
+  reference loop is the ground truth;
 - evaluation order (the ``core.incumbent`` event sequence), pruned rows
-  and :class:`PruningStats` — between the two bounded arms, which share
-  the seeded sweep (the reference loop is unbounded by design);
-- the vector arm really took the tensor path (``decision.vectorised``)
-  and the scalar arm really did not.
+  and :class:`PruningStats` — against the oracle the reference decision
+  implies: :func:`~repro.core.sweep.replay_sweep` over the reference's
+  per-candidate objectives with the same
+  :func:`~repro.core.sweep.objective_bounds` (the reference loop itself is
+  unbounded by design);
+- the fast arm really took the batched core (``decision.vectorised``)
+  whenever the configuration has a batch planner.
 
 A Hypothesis property drives random pools, seeds, problem shapes and user
 specifications through the same oracle; CI runs this file in both ambient
-gate modes, which must not matter because every arm pins its own gates.
+gate modes, which must not matter because every arm pins its own gate.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.sweep import objective_bounds, replay_sweep
 from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
@@ -39,17 +43,11 @@ BUILDERS = {
     "casa": casa_testbed,
 }
 
-ARMS = {
-    "reference": (False, False),
-    "scalar": (True, False),
-    "vector": (True, True),
-}
 
-
-def _decide(testbed, nws, problem, arm, userspec=None, account_memory=True):
-    """One decision with the (fastpath, solo_vector) gates pinned."""
-    fast, vector = ARMS[arm]
-    with perf.fastpath(fast), perf.solo_vector(vector), tracing() as tr:
+def _decide(testbed, nws, problem, fast, userspec=None, account_memory=True):
+    """One decision with the fast-path gate pinned: (agent, decision,
+    ``core.incumbent`` stream)."""
+    with perf.fastpath(fast), tracing() as tr:
         agent = make_jacobi_agent(
             testbed, problem, nws=nws, userspec=userspec,
             account_memory=account_memory,
@@ -61,7 +59,7 @@ def _decide(testbed, nws, problem, arm, userspec=None, account_memory=True):
         for r in tr.records()
         if r["kind"] == "event" and r["name"] == "core.incumbent"
     ]
-    return decision, incumbents
+    return agent, decision, incumbents
 
 
 def _winner(decision):
@@ -79,26 +77,43 @@ def _pruned_rows(decision):
     return tuple(ev.pruned for ev in decision.evaluations)
 
 
-def _assert_equivalent(testbed, nws, problem, userspec=None, account_memory=True):
-    ref, _ = _decide(testbed, nws, problem, "reference", userspec, account_memory)
-    scalar, scalar_inc = _decide(
-        testbed, nws, problem, "scalar", userspec, account_memory
+def _oracle_sweep(agent, reference):
+    """The bounded sweep the reference decision implies.
+
+    Replays :func:`replay_sweep` over the reference loop's per-candidate
+    objectives with the admissible bounds the fast path uses, recording
+    the incumbent stream the way the Coordinator emits it.
+    """
+    csets = [ev.resource_set for ev in reference.evaluations]
+    bounds = objective_bounds(agent, agent.planner, csets)
+    objectives = [ev.objective for ev in reference.evaluations]
+    incumbents = []
+    result = replay_sweep(
+        len(csets), bounds, objectives.__getitem__,
+        lambda idx, obj, seeded: incumbents.append((idx, obj, seeded)),
     )
-    vector, vector_inc = _decide(
-        testbed, nws, problem, "vector", userspec, account_memory
+    return result, bounds, incumbents
+
+
+def _assert_equivalent(testbed, nws, problem, userspec=None, account_memory=True):
+    _, ref, _ = _decide(testbed, nws, problem, False, userspec, account_memory)
+    agent, fast, fast_inc = _decide(
+        testbed, nws, problem, True, userspec, account_memory
     )
 
     # The reference loop is the oracle for the *decision*.
-    assert _winner(scalar) == _winner(ref)
-    assert _winner(vector) == _winner(ref)
-    assert not ref.vectorised and not scalar.vectorised
+    assert _winner(fast) == _winner(ref)
+    assert not ref.vectorised
+    assert ref.pruning.planned == ref.candidates_considered
 
-    # The two bounded arms replay the identical seeded sweep: same
-    # incumbent (evaluation) order, same pruned rows, same statistics.
-    assert vector_inc == scalar_inc
-    assert _pruned_rows(vector) == _pruned_rows(scalar)
-    assert vector.pruning == scalar.pruning
-    return ref, scalar, vector
+    # ... and, replayed with bounds, for the evaluation order, the pruned
+    # rows and the statistics of the bounded fast path.
+    with perf.fastpath(True):
+        expected, bounds, expected_inc = _oracle_sweep(agent, ref)
+    assert fast_inc == expected_inc
+    assert _pruned_rows(fast) == expected.pruned
+    assert fast.pruning == expected.stats(bounds is not None)
+    return ref, fast
 
 
 @settings(
@@ -125,12 +140,10 @@ def test_property_random_pools_and_specs(
         UserSpecification() if max_machines is None
         else UserSpecification(max_machines=max_machines)
     )
-    _, _, vector = _assert_equivalent(
-        testbed, nws, problem, userspec, account_memory
-    )
-    # Strip-only configurations always batch: the vector arm must have
-    # actually exercised the tensor path, or this suite tests nothing.
-    assert vector.vectorised
+    _, fast = _assert_equivalent(testbed, nws, problem, userspec, account_memory)
+    # Strip-only configurations always batch: the fast arm must have
+    # actually exercised the batched core, or this suite tests nothing.
+    assert fast.vectorised
 
 
 def test_exhaustive_twelve_machine_pool():
@@ -138,19 +151,19 @@ def test_exhaustive_twelve_machine_pool():
     testbed = nile_testbed(seed=1996)
     nws = NetworkWeatherService.for_testbed(testbed, seed=7)
     nws.warmup(600.0)
-    _, _, vector = _assert_equivalent(
+    _, fast = _assert_equivalent(
         testbed, nws, JacobiProblem(n=1000, iterations=40)
     )
-    assert vector.vectorised
-    assert vector.candidates_considered == 2**12 - 1
+    assert fast.vectorised
+    assert fast.candidates_considered == 2**12 - 1
 
 
 def test_incumbent_stream_seeds_exactly_once():
     testbed = sdsc_pcl_testbed(seed=1996)
     nws = NetworkWeatherService.for_testbed(testbed, seed=7)
     nws.warmup(600.0)
-    _, incumbents = _decide(
-        testbed, nws, JacobiProblem(n=600, iterations=20), "vector"
+    _, _, incumbents = _decide(
+        testbed, nws, JacobiProblem(n=600, iterations=20), True
     )
     assert incumbents, "a feasible decision must announce incumbents"
     assert incumbents[0][2] is True  # the warm start
@@ -161,29 +174,28 @@ def test_incumbent_stream_seeds_exactly_once():
 
 def test_multi_family_configuration_declines_to_vectorise():
     """With both decomposition families active the dispatcher cannot name
-    a single batch planner, so the vector gate falls back to the scalar
-    sweep — and the decision is still bit-identical to the reference."""
+    a single batch planner, so the fast path runs the bounded scalar loop
+    — and its decision and sweep still match the reference oracle."""
     testbed = sdsc_pcl_testbed(seed=1996)
     nws = NetworkWeatherService.for_testbed(testbed, seed=7)
     nws.warmup(600.0)
     problem = JacobiProblem(n=600, iterations=20)
     spec = UserSpecification(decomposition_preference=("strip", "blocked"))
 
-    ref, _ = _decide(testbed, nws, problem, "reference", spec)
-    vector, _ = _decide(testbed, nws, problem, "vector", spec)
-    assert not vector.vectorised
-    assert _winner(vector) == _winner(ref)
+    _, fast = _assert_equivalent(testbed, nws, problem, spec)
+    assert not fast.vectorised
+    assert fast.pruning.bounded
 
 
 def test_vector_rows_expose_winner_schedule():
-    """`evaluations` rows from the tensor path keep the explain() contract:
+    """`evaluations` rows from the batched core keep the explain() contract:
     the winner row holds the materialised schedule, pruned rows hold
     their bound, and certified rows carry a finite objective."""
     testbed = sdsc_pcl_testbed(seed=1996)
     nws = NetworkWeatherService.for_testbed(testbed, seed=7)
     nws.warmup(600.0)
-    decision, _ = _decide(
-        testbed, nws, JacobiProblem(n=600, iterations=20), "vector"
+    _, decision, _ = _decide(
+        testbed, nws, JacobiProblem(n=600, iterations=20), True
     )
     assert decision.vectorised
     rows = decision.evaluations
