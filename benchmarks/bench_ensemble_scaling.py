@@ -155,11 +155,12 @@ def bench_ensemble_compile_overhead(report):
     """Compile wall time stays a small fraction of a pass, and the
     shared-world dedupe collapses the tables of assignment-only sweeps.
 
-    Two arms: the standard sweep (a world per replica — nothing to
+    Two sweeps: the standard one (a world per replica — nothing to
     share), and a Monte-Carlo-over-allocations sweep (one world, many
-    assignments), run with ``share_tables`` on and off to record the
-    dedupe's row/memory/fill delta.  Both modes must return bit-identical
-    results — dedupe is a compile-layout change, never arithmetic.
+    assignments), whose rate table must collapse to one row per host.
+    Every replica of the shared-world sweep must equal the reference
+    simulator float for float — dedupe is a compile-layout change, never
+    arithmetic.
     """
     n_replicas, n_hosts, iterations = (16, 8, 10) if QUICK else (64, 8, 60)
     specs = replicated(n_replicas, n_hosts=n_hosts, seed=SEED, **GRAIN)
@@ -170,7 +171,8 @@ def bench_ensemble_compile_overhead(report):
     ex.run()
     run_s = time.perf_counter() - t0
 
-    # Shared-world arm: one testbed, assignment-only replica variants.
+    # Shared-world sweep: one testbed, assignment-only replica variants.
+    from repro.sim.execution import simulate_iterations_reference
     from repro.sim.execution_ensemble import ReplicaSpec, ring_assignments
     from repro.sim.testbeds import synthetic_metacomputer
 
@@ -186,31 +188,20 @@ def bench_ensemble_compile_overhead(report):
         )
         for j in range(n_replicas)
     ]
-    arms = {}
-    results = {}
-    for label, share in (("shared", True), ("private", False)):
-        t0 = time.perf_counter()
-        exs = EnsembleExecution(shared_specs, iterations, share_tables=share)
-        arm_compile_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        results[label] = exs.run()
-        arm_run_s = time.perf_counter() - t0
-        arms[label] = {
-            "compile_ms": arm_compile_s * 1e3,
-            "run_ms": arm_run_s * 1e3,
-            "rate_rows": exs.compile_report["rate_rows"],
-            "pairs": exs.compile_report["pairs"],
-            "entries": exs.compile_report["entries"],
-            "table_mb": (exs._rates.nbytes + exs._pair_bw.nbytes) / 2**20,
-        }
-    # Bit-identity across the dedupe: layout only, never arithmetic.
-    for a, b in zip(results["shared"], results["private"]):
-        assert a.total_time == b.total_time
-        assert a.iteration_times == b.iteration_times
-        assert a.host_busy_time == b.host_busy_time
-    sh, pr = arms["shared"], arms["private"]
-    assert sh["rate_rows"] < pr["rate_rows"]
-    assert sh["pairs"] <= pr["pairs"]
+    t0 = time.perf_counter()
+    exs = EnsembleExecution(shared_specs, iterations)
+    shared_compile_s = time.perf_counter() - t0
+    results = exs.run()
+    rep = exs.compile_report
+    table_mb = (exs._rates.nbytes + exs._pair_bw.nbytes) / 2**20
+    assert rep["rate_rows"] == n_hosts, rep
+    for spec, got in zip(shared_specs, results):
+        ref = simulate_iterations_reference(
+            spec.topology, spec.assignments, iterations, spec.t0
+        )
+        assert got.total_time == ref.total_time
+        assert got.iteration_times == ref.iteration_times
+        assert got.host_busy_time == ref.host_busy_time
 
     text = (
         "Ensemble compile overhead\n"
@@ -218,13 +209,11 @@ def bench_ensemble_compile_overhead(report):
         f"compile: {compile_s * 1e3:.1f} ms   run: {run_s * 1e3:.1f} ms   "
         f"entries: {ex.compile_report['entries']}\n\n"
         f"shared-world dedupe (one world, {n_replicas} assignment variants,"
-        " bit-identical results):\n"
-        f"  private tables: {pr['rate_rows']} rate rows / {pr['pairs']} pairs"
-        f"   compile {pr['compile_ms']:.1f} ms   tables {pr['table_mb']:.2f} MB\n"
-        f"  shared  tables: {sh['rate_rows']} rate rows / {sh['pairs']} pairs"
-        f"   compile {sh['compile_ms']:.1f} ms   tables {sh['table_mb']:.2f} MB\n"
-        f"  delta: {pr['rate_rows'] / sh['rate_rows']:.0f}x fewer rate rows,"
-        f" {pr['table_mb'] / max(sh['table_mb'], 1e-9):.0f}x less table memory"
+        " bit-identical to the reference simulator):\n"
+        f"  {rep['entries']} entries -> {rep['rate_rows']} rate rows,"
+        f" {rep['pair_refs']} pair refs -> {rep['pairs']} pairs"
+        f"   compile {shared_compile_s * 1e3:.1f} ms"
+        f"   tables {table_mb:.2f} MB"
     )
     report("ensemble_compile_overhead", text)
     assert compile_s < 5.0

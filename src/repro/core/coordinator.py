@@ -48,7 +48,6 @@ scalar loop instead.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -211,8 +210,8 @@ class StagedDecision(NamedTuple):
     """A batchable decision after :meth:`AppLeSAgent.stage`.
 
     Pure functions of the candidate sets and the decision's forecast
-    snapshot, so the scheduling service keeps them across calls at one
-    pool state.
+    snapshot.  They live for one decision: the decision scope that
+    staged them stays open until :meth:`AppLeSAgent.conclude`.
     """
 
     candidate_sets: list[tuple[str, ...]]
@@ -295,26 +294,6 @@ class AppLeSAgent:
             return None
         return hook(self.info)
 
-    @contextmanager
-    def decision_scope(self, snapshot: Any | None = None, reuse: Any | None = None):
-        """One decision: the Information Pool's decision scope plus the
-        Planner's optional ``begin_decision``/``end_decision`` hooks.
-
-        :meth:`stage` and :meth:`conclude` run inside it.  ``snapshot``
-        and ``reuse`` are passed to
-        :meth:`~repro.core.infopool.InformationPool.decision_scope`.
-        """
-        begin = getattr(self.planner, "begin_decision", None)
-        end = getattr(self.planner, "end_decision", None)
-        with self.info.decision_scope(snapshot, reuse=reuse) as cache:
-            if begin is not None:
-                begin(self.info)
-            try:
-                yield cache
-            finally:
-                if end is not None:
-                    end(self.info)
-
     def schedule(self, snapshot: Any | None = None) -> ScheduleDecision:
         """Run blueprint steps 1–3: select, plan, estimate, choose.
 
@@ -339,7 +318,7 @@ class AppLeSAgent:
         candidate_sets = self.candidate_sets()
         if not self._fast:
             return self._schedule_loop(candidate_sets, None)
-        with self.decision_scope(snapshot):
+        with self.info.decision_scope(snapshot):
             staged = self.stage(candidate_sets)
             if staged is None:
                 bounds = objective_bounds(self, self.planner, candidate_sets)
@@ -359,9 +338,10 @@ class AppLeSAgent:
     def stage(self, candidate_sets: list[tuple[str, ...]]) -> StagedDecision | None:
         """Stage a batchable decision, or return ``None`` without a batch planner.
 
-        Runs inside a :meth:`decision_scope`.  One membership matrix
-        (pool-name order) serves the admissible bounds and, permuted to
-        the batch inputs' locality-rank order, the batched evaluator.
+        Runs inside the decision's ``info.decision_scope()``.  One
+        membership matrix (pool-name order) serves the admissible bounds
+        and, permuted to the batch inputs' locality-rank order, the
+        batched evaluator.
         """
         planner = self.batch_planner()
         if planner is None:
@@ -388,7 +368,7 @@ class AppLeSAgent:
     ) -> ScheduleDecision:
         """Choose the winner from one ``evaluate_strip_batch`` row ``ev``.
 
-        Runs inside the :meth:`decision_scope` of the decision.  A
+        Runs inside the same ``info.decision_scope()`` as :meth:`stage`.  A
         :class:`BatchedObjective` scores each candidate from ``ev``
         (planning surrendered rows with the scalar planner),
         :func:`replay_sweep` reproduces the seed/incumbent/pruning order

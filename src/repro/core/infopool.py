@@ -33,14 +33,6 @@ class DecisionCache:
 
     Planners namespace their memo keys (e.g. ``("jacobi-model", id(self))``)
     so several planners can share one cache without collisions.
-
-    A cache may outlive a single decision: the always-on scheduling
-    daemon reuses one cache across every request of one pool state,
-    because everything memoised is a pure function of the snapshot.  The
-    reuse contract is :attr:`stale` — the moment the underlying NWS
-    advances, the snapshot (and with it every memo derived from it) stops
-    describing the pool, and :meth:`InformationPool.begin_decision`
-    refuses to reuse the cache.
     """
 
     __slots__ = ("snapshot", "memo")
@@ -48,11 +40,6 @@ class DecisionCache:
     def __init__(self, snapshot: Any) -> None:
         self.snapshot = snapshot
         self.memo: dict[Any, Any] = {}
-
-    @property
-    def stale(self) -> bool:
-        """True when the snapshot no longer describes the pool's state."""
-        return bool(getattr(self.snapshot, "stale", False))
 
 
 @dataclass
@@ -82,9 +69,7 @@ class InformationPool:
     _decision: DecisionCache | None = field(default=None, init=False, repr=False)
 
     # -- per-decision state ---------------------------------------------------
-    def begin_decision(
-        self, snapshot: Any | None = None, reuse: DecisionCache | None = None
-    ) -> DecisionCache:
+    def begin_decision(self, snapshot: Any | None = None) -> DecisionCache:
         """Open a scheduling decision: snapshot the pool, reset the memo.
 
         Called by the Coordinator's fast path before the candidate loop;
@@ -101,24 +86,7 @@ class InformationPool:
             requests of a batch taken at the same instant).  It must not be
             stale: a snapshot is a pure cache only while the NWS sits at
             the instant it was taken.  ``None`` takes a fresh snapshot.
-        reuse:
-            A :class:`DecisionCache` from an earlier decision over the
-            *same* pool state (the always-on daemon keeps one per request
-            configuration).  It is adopted — memo and all — only while it
-            is provably still current: its snapshot must be the exact
-            object ``snapshot`` passes (or ``snapshot`` must be ``None``)
-            and must not be stale.  A cache that fails either check is
-            silently discarded and a fresh one opened — reuse is an
-            optimisation, never a semantic.
         """
-        if reuse is not None:
-            current = (
-                not reuse.stale
-                and (snapshot is None or reuse.snapshot is snapshot)
-            )
-            if current:
-                self._decision = reuse
-                return reuse
         if snapshot is None:
             snapshot = self.pool.snapshot()
         elif getattr(snapshot, "stale", False):
@@ -134,9 +102,7 @@ class InformationPool:
         self._decision = None
 
     @contextmanager
-    def decision_scope(
-        self, snapshot: Any | None = None, reuse: DecisionCache | None = None
-    ) -> Iterator[DecisionCache]:
+    def decision_scope(self, snapshot: Any | None = None) -> Iterator[DecisionCache]:
         """Explicit per-request decision scope: ``with info.decision_scope():``.
 
         Guarantees the :class:`DecisionCache` (snapshot + memo) opened for
@@ -148,7 +114,7 @@ class InformationPool:
         scope does not tear the batch scope down.
         """
         previous = self._decision
-        cache = self.begin_decision(snapshot, reuse=reuse)
+        cache = self.begin_decision(snapshot)
         try:
             yield cache
         finally:

@@ -61,16 +61,12 @@ __all__ = [
 class Planner(Protocol):
     """Protocol all application planners implement.
 
-    Planners may additionally offer two *optional* fast-path hooks the
+    Planners may additionally offer an *optional* fast-path hook the
     Coordinator probes for (see :mod:`repro.core.coordinator`):
-
-    - ``lower_bounds(candidate_sets, info) -> Sequence[float]`` — an
-      admissible (never over-estimating) lower bound on the predicted
-      time of the best schedule this planner could produce on each
-      candidate set, computed vectorized for the whole list at once;
-    - ``begin_decision(info)`` / ``end_decision(info)`` — bracket one
-      Coordinator decision so the planner can set up / drop per-decision
-      memoisation.
+    ``lower_bounds(candidate_sets, info) -> Sequence[float]`` — an
+    admissible (never over-estimating) lower bound on the predicted time
+    of the best schedule this planner could produce on each candidate
+    set, computed vectorized for the whole list at once.
     """
 
     def plan(self, resource_set: Sequence[str], info: InformationPool) -> Schedule | None:

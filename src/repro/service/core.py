@@ -37,22 +37,25 @@ oracle the differential test harness compares against.
 
 Cross-call reuse (the always-on daemon's amortisation)
 ------------------------------------------------------
-A service constructed with ``reuse=True`` keeps everything derived from
-one *pool state* — the :class:`~repro.nws.snapshot.ForecastSnapshot`, the
-per-configuration staging (candidate sets, membership matrices, pruning
-bounds, batch inputs), the per-configuration
-:class:`~repro.core.infopool.DecisionCache` memos, and whole answers —
-alive across ``decide()`` calls, invalidating the lot the moment
-:attr:`ForecastSnapshot.stale` turns true (the NWS advanced, so the pool
-is in a new state).  Every cached value is a pure function of the
-snapshot, so reuse is bit-identical by the same argument as the snapshot
-itself; it only changes how often the same floats are recomputed.  Reuse
-requires an attached NWS (staleness is keyed on the NWS clock/epoch) and
-is inert on the reference path.
+A service constructed with ``reuse=True`` keeps the
+:class:`~repro.nws.snapshot.ForecastSnapshot` and whole answers alive
+across ``decide()`` calls while the pool state is unchanged, dropping
+both the moment :attr:`ForecastSnapshot.stale` turns true (the NWS
+advanced, so the pool is in a new state).  An answer is a pure function
+of (configuration, snapshot), so reuse is bit-identical by the same
+argument as the snapshot itself; it only changes how often the same
+floats are recomputed.  Everything else lives for one decision: each
+batchable configuration opens one decision scope on the shared snapshot,
+held from :meth:`~repro.core.coordinator.AppLeSAgent.stage` through the
+instant's one ``evaluate_strip_batch`` call to
+:meth:`~repro.core.coordinator.AppLeSAgent.conclude`.  Reuse requires an
+attached NWS (staleness is keyed on the NWS clock/epoch) and is inert on
+the reference path.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import Sequence
 
 import numpy as np
@@ -84,22 +87,18 @@ __all__ = ["SchedulingService"]
 
 
 class _PoolState:
-    """Everything the service derived from one pool state.
+    """Everything the service keeps from one pool state.
 
     Valid exactly while ``snapshot.stale`` is false; the service drops the
     whole object the moment the NWS advances.  ``answers`` memoises whole
-    decisions per request configuration, ``staged`` the batch-evaluation
-    inputs, and ``decisions`` the per-configuration
-    :class:`~repro.core.infopool.DecisionCache` (planner/estimator memos).
+    decisions per request configuration.
     """
 
-    __slots__ = ("snapshot", "staged", "answers", "decisions")
+    __slots__ = ("snapshot", "answers")
 
     def __init__(self, snapshot) -> None:
         self.snapshot = snapshot
-        self.staged: dict = {}
         self.answers: dict = {}
-        self.decisions: dict = {}
 
 
 class SchedulingService:
@@ -116,10 +115,10 @@ class SchedulingService:
         Resource Selector shared by every request's agent (defaults to
         the exhaustive enumerator, matching solo agents).
     reuse:
-        Keep snapshot, staging, decision memos and answers alive across
-        ``decide()`` calls while the pool state is unchanged (see the
-        module docstring).  Requires ``nws``; the always-on daemon turns
-        this on, the one-shot batch API defaults to off.
+        Keep the snapshot and answers alive across ``decide()`` calls
+        while the pool state is unchanged (see the module docstring).
+        Requires ``nws``; the always-on daemon turns this on, the
+        one-shot batch API defaults to off.
     """
 
     def __init__(
@@ -234,7 +233,7 @@ class SchedulingService:
         With reuse on, the previous state survives while its snapshot is
         fresh; :attr:`ForecastSnapshot.stale` is the sole invalidation
         signal (the NWS epoch/clock), so a mutated pool can never serve a
-        stale staged value or answer.  Without reuse, every call gets a
+        stale answer.  Without reuse, every call gets a
         private state — the pre-daemon one-snapshot-per-batch behaviour.
         """
         state = self._state
@@ -253,8 +252,8 @@ class SchedulingService:
         # One snapshot for the whole instant: every agent's pool wraps the
         # same topology and NWS, so forecasts read through this snapshot
         # are the same floats each agent's private snapshot would return.
-        # With reuse on, the snapshot — and everything staged from it —
-        # survives from earlier calls at the same pool state.
+        # With reuse on, the snapshot survives from earlier calls at the
+        # same pool state.
         state = self._pool_state()
         snapshot = state.snapshot
         tracer = get_tracer()
@@ -263,23 +262,24 @@ class SchedulingService:
         for i in group:
             configs.setdefault(requests[i].config_key(), []).append(i)
 
-        # Phase A: per unique config, build the agent, enumerate candidate
-        # sets (outside the decision, like schedule()) and stage the
-        # decision inside a shared-snapshot decision scope.
         staged = []  # (indices, config key, agent, StagedDecision)
-        for key, idxs in configs.items():
-            answer = state.answers.get(key)
-            if answer is not None:
-                # This configuration was already decided at this pool
-                # state — the decision is a pure function of (config,
-                # snapshot), so the earlier answer *is* the answer.
-                if tracer.enabled:
-                    tracer.metrics.counter("service.reuse.answer_hits").inc()
-                for i in idxs:
-                    answers[i] = answer
-                continue
-            entry = state.staged.get(key)
-            if entry is None:
+        # Each staged configuration's decision scope stays open from stage
+        # to conclude: one decision, one scope, like solo schedule().
+        with ExitStack() as scopes:
+            # Phase A: per unique config, build the agent, enumerate
+            # candidate sets (outside the decision, like schedule()) and
+            # stage the decision inside its shared-snapshot scope.
+            for key, idxs in configs.items():
+                answer = state.answers.get(key)
+                if answer is not None:
+                    # This configuration was already decided at this pool
+                    # state — the decision is a pure function of (config,
+                    # snapshot), so the earlier answer *is* the answer.
+                    if tracer.enabled:
+                        tracer.metrics.counter("service.reuse.answer_hits").inc()
+                    for i in idxs:
+                        answers[i] = answer
+                    continue
                 agent = self._agent(requests[idxs[0]], key)
                 if agent.batch_planner() is None:
                     # Sequential answer under the shared snapshot — still
@@ -295,56 +295,47 @@ class SchedulingService:
                         answers[i] = answer
                     continue
                 csets = agent.candidate_sets()
-                with agent.decision_scope(
-                    snapshot, reuse=state.decisions.get(key)
-                ) as cache:
-                    state.decisions[key] = cache
-                    entry = (agent, agent.stage(csets))
-                state.staged[key] = entry
-            elif tracer.enabled:
-                tracer.metrics.counter("service.reuse.staged_hits").inc()
-            staged.append((idxs, key) + entry)
+                scopes.enter_context(agent.info.decision_scope(snapshot))
+                staged.append((idxs, key, agent, agent.stage(csets)))
 
-        # Phase B: one vectorised evaluation over every candidate set of
-        # every staged request, then each request's sweep replay.
-        evaluations = evaluate_strip_batch([st.job for *_, st in staged])
-        if tracer.enabled and evaluations:
-            surrendered = sum(
-                int(np.count_nonzero(ev.fallback)) for ev in evaluations
-            )
-            total_rows = sum(len(ev.fallback) for ev in evaluations)
-            tracer.metrics.counter("service.batched_configs").inc(
-                len(evaluations)
-            )
-            tracer.metrics.counter("service.rows_vectorised").inc(
-                total_rows - surrendered
-            )
-            tracer.metrics.counter("service.rows_surrendered").inc(surrendered)
-            tracer.event(
-                "service.evaluate_batch", layer="service", t=at,
-                configs=len(evaluations), rows=total_rows,
-                surrendered=surrendered,
-            )
-        for (idxs, key, agent, st), ev in zip(staged, evaluations):
-            with agent.decision_scope(
-                snapshot, reuse=state.decisions.get(key)
-            ) as cache:
-                state.decisions[key] = cache
-                decision = agent.conclude(st, ev)
-            if tracer.enabled:
-                # Batched decisions land in the same instruments as solo
-                # ones — one pruning history regardless of which path
-                # answered — and each counts as one vectorised solo
-                # decision.
-                stats = decision.pruning
-                record_pruning_stats(tracer.metrics, stats)
-                tracer.event(
-                    "service.decision", layer="service", t=at,
-                    candidates=stats.candidates, pruned=stats.pruned,
-                    best_objective=decision.best_objective,
+            # Phase B: one vectorised evaluation over every candidate set
+            # of every staged request, then each request's sweep replay.
+            evaluations = evaluate_strip_batch([st.job for *_, st in staged])
+            if tracer.enabled and evaluations:
+                surrendered = sum(
+                    int(np.count_nonzero(ev.fallback)) for ev in evaluations
                 )
-                self._count_solo(tracer, True)
-            answer = ServiceAnswer.from_decision(decision, at=at)
-            state.answers[key] = answer
-            for i in idxs:
-                answers[i] = answer
+                total_rows = sum(len(ev.fallback) for ev in evaluations)
+                tracer.metrics.counter("service.batched_configs").inc(
+                    len(evaluations)
+                )
+                tracer.metrics.counter("service.rows_vectorised").inc(
+                    total_rows - surrendered
+                )
+                tracer.metrics.counter("service.rows_surrendered").inc(
+                    surrendered
+                )
+                tracer.event(
+                    "service.evaluate_batch", layer="service", t=at,
+                    configs=len(evaluations), rows=total_rows,
+                    surrendered=surrendered,
+                )
+            for (idxs, key, agent, st), ev in zip(staged, evaluations):
+                decision = agent.conclude(st, ev)
+                if tracer.enabled:
+                    # Batched decisions land in the same instruments as
+                    # solo ones — one pruning history regardless of which
+                    # path answered — and each counts as one vectorised
+                    # solo decision.
+                    stats = decision.pruning
+                    record_pruning_stats(tracer.metrics, stats)
+                    tracer.event(
+                        "service.decision", layer="service", t=at,
+                        candidates=stats.candidates, pruned=stats.pruned,
+                        best_objective=decision.best_objective,
+                    )
+                    self._count_solo(tracer, True)
+                answer = ServiceAnswer.from_decision(decision, at=at)
+                state.answers[key] = answer
+                for i in idxs:
+                    answers[i] = answer

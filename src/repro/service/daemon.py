@@ -20,20 +20,22 @@ Three mechanisms carry the load story:
   *rejected* with an explanatory reason.  Saturation is an explicit,
   observable answer, never a hang.
 
-- **Adaptive micro-batching.**  Batch ≥ 32 is where the vectorised
-  service core earns its ~5× decisions/sec, so the :class:`MicroBatcher`
-  tries to keep batches full *without* inflating tail latency: a dispatch
-  is delayed only while the observed arrival rate says the wait will
-  actually buy batch-mates, and never longer than ``max_linger_s``.
+- **Adaptive micro-batching.**  The archived ``bench_service_throughput``
+  rows measure batched ``decide()`` at 1.18×/1.04×/0.93×/1.09× a loop of
+  solo decisions at batch 1/8/32/64, so batching buys little throughput;
+  the :class:`MicroBatcher` fills batches *without* inflating tail
+  latency: a dispatch is delayed only while the observed arrival rate
+  says the wait will actually buy batch-mates, and never longer than
+  ``max_linger_s``.
   Under saturation the queue outruns the service and batches fill for
   free; at low rates the policy degenerates to dispatch-immediately.
 
 - **Cross-request state reuse.**  Each shard's service runs with
-  ``reuse=True``: the :class:`~repro.nws.snapshot.ForecastSnapshot`,
-  per-configuration staging, :class:`~repro.core.infopool.DecisionCache`
-  memos and whole answers persist across batches *keyed by pool state*,
+  ``reuse=True``: the :class:`~repro.nws.snapshot.ForecastSnapshot` and
+  whole answers persist across batches *keyed by pool state*,
   invalidated through :attr:`ForecastSnapshot.stale` the moment the
   shard's NWS advances — never rebuilt per call, never served stale.
+  Staging and decision memos live for one decision only.
 
 Execution modes
 ---------------
@@ -180,8 +182,10 @@ class MicroBatcher:
     max_batch:
         Hard cap on requests per dispatch.
     target_batch:
-        Batch size worth lingering for — the knee of the vectorised
-        core's throughput curve (≥ 32 gives the ~5× regime).
+        Batch size worth lingering for.  The archived
+        ``bench_service_throughput`` rows measure batched ``decide()`` at
+        1.18×/1.04×/0.93×/1.09× a solo loop at batch 1/8/32/64, so a full
+        batch buys little throughput over dispatching at once.
     max_linger_s:
         Upper bound on how long the oldest queued request may wait for
         batch-mates.  This bounds the latency cost of batching directly.

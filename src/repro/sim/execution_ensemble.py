@@ -153,12 +153,7 @@ class EnsembleExecution:
     returning results in input order.
     """
 
-    def __init__(
-        self,
-        replicas: Sequence[ReplicaSpec],
-        iterations: int,
-        share_tables: bool = True,
-    ) -> None:
+    def __init__(self, replicas: Sequence[ReplicaSpec], iterations: int) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
         check_positive("iterations", iterations)
@@ -166,12 +161,6 @@ class EnsembleExecution:
         compile_t0 = time.perf_counter() if tracer.enabled else 0.0
         self.iterations = int(iterations)
         self.replicas = list(replicas)
-        # Shared-world dedupe: identical rate/pair rows collapse across
-        # replicas.  Off builds one row per entry/pair occurrence — kept
-        # selectable so the compile-overhead benchmark can measure the
-        # delta; results are bit-identical either way (rows are filled
-        # from the same read-only prefix exports).
-        self.share_tables = bool(share_tables)
         for spec in self.replicas:
             validate_assignments(spec.topology, spec.assignments)
 
@@ -272,11 +261,7 @@ class EnsembleExecution:
                 # would be byte-identical — same host object (covers the
                 # shared-topology case), same memory footprint.  Epoch
                 # tables are absolute-time-indexed, so t0 never enters.
-                row_key = (
-                    (id(host), float(wa.footprint_mb))
-                    if self.share_tables
-                    else entry
-                )
+                row_key = (id(host), float(wa.footprint_mb))
                 row = row_index.get(row_key)
                 if row is None:
                     row = len(row_hosts)
@@ -301,11 +286,7 @@ class EnsembleExecution:
                         for link in links
                     ]
                     pair_refs += 1
-                    key = (
-                        tuple((id(link), fc) for link, fc in resolved)
-                        if self.share_tables
-                        else (r, tuple(sorted((wa.host, peer))))
-                    )
+                    key = tuple((id(link), fc) for link, fc in resolved)
                     pair = pair_index.get(key)
                     if pair is None:
                         pair = len(pair_links)

@@ -114,7 +114,7 @@ def test_reference_path_reports_unbounded_stats(testbed, warmed_nws):
 
 
 def test_decision_cache_closed_after_schedule(testbed, warmed_nws):
-    """begin_decision/end_decision bracket cleanly (no leaked cache)."""
+    """schedule() closes its decision scope cleanly (no leaked cache)."""
     problem = JacobiProblem(n=600, iterations=40)
     with perf.fastpath(True):
         agent = make_jacobi_agent(testbed, problem, nws=warmed_nws)

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.core as service_core
+from repro.core.coordinator import AppLeSAgent
+from repro.core.infopool import InformationPool
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
 from repro.nws import NetworkWeatherService
@@ -128,3 +131,54 @@ def test_decision_scope_restores_on_error():
         with info.decision_scope():
             raise RuntimeError("boom")
     assert info.decision_cache is None
+
+
+def test_service_opens_one_scope_per_batchable_configuration(monkeypatch):
+    """One ``decide()`` over k unique batchable configurations opens k
+    decision scopes — each held from stage to conclude — and evaluates
+    every staged job in one ``evaluate_strip_batch`` call."""
+    scopes = []
+    evaluated = []
+    concluded_in = []
+    open_scope = InformationPool.decision_scope
+    evaluate = service_core.evaluate_strip_batch
+    conclude = AppLeSAgent.conclude
+
+    def counting_scope(self, *args, **kwargs):
+        scopes.append(self)
+        return open_scope(self, *args, **kwargs)
+
+    def counting_evaluate(jobs, *args, **kwargs):
+        evaluated.append(len(jobs))
+        return evaluate(jobs, *args, **kwargs)
+
+    def recording_conclude(self, *args, **kwargs):
+        concluded_in.append(self.info.decision_cache)
+        return conclude(self, *args, **kwargs)
+
+    monkeypatch.setattr(InformationPool, "decision_scope", counting_scope)
+    monkeypatch.setattr(service_core, "evaluate_strip_batch", counting_evaluate)
+    monkeypatch.setattr(AppLeSAgent, "conclude", recording_conclude)
+    requests = [
+        DecisionRequest(
+            problem=JacobiProblem(n=600 + 100 * k, iterations=20),
+            account_memory=True,
+            at=300.0,
+        )
+        for k in range(3)
+    ]
+    testbed, nws = _world()
+    with perf.fastpath(True):
+        service = SchedulingService(testbed, nws)
+        agents = [service._agent(r) for r in requests]
+        assert all(a.batch_planner() is not None for a in agents)
+        answers = service.decide(requests + requests[:1])
+    assert len(answers) == 4
+    assert len(scopes) == len(requests)
+    assert len(set(map(id, scopes))) == len(requests)
+    assert evaluated == [len(requests)]
+    # Each conclude runs inside the scope its stage opened, on the
+    # instant's one shared snapshot.
+    assert len(concluded_in) == len(requests)
+    assert all(cache is not None for cache in concluded_in)
+    assert len({id(cache.snapshot) for cache in concluded_in}) == 1

@@ -9,10 +9,11 @@ tests pin the edges of that claim:
 - micro-batch policy lingers only when arrivals will fill the batch;
 - shards are isolated (a backlogged pool does not stall another's
   answers) and drain-on-shutdown answers everything already queued;
-- the cross-call reuse layer (`SchedulingService(reuse=True)`,
-  `DecisionCache` adoption in `begin_decision`) never serves an answer
-  derived from a stale pool state — the regression tests mutate the NWS
-  between calls and compare against fresh solo agents;
+- the cross-call reuse layer (`SchedulingService(reuse=True)`) never
+  serves an answer derived from a stale pool state — the regression
+  tests mutate the NWS between calls and compare against fresh solo
+  agents — and an infeasible request leaves nothing behind that a later
+  call at the same pool state could trip over;
 - a Hypothesis property: however a request multiset is sliced into
   submissions, daemon answers equal one `SchedulingService.decide()`;
 - traced and untraced daemon runs are bit-identical, with the queue
@@ -25,7 +26,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.infopool import DecisionCache
 from repro.core.userspec import UserSpecification
 from repro.jacobi.apples import make_jacobi_agent
 from repro.jacobi.grid import JacobiProblem
@@ -358,55 +358,6 @@ class TestBitIdentity:
 
 # -- cross-call reuse staleness (the satellite regression) ----------------
 class TestReuseStaleness:
-    def test_decision_cache_stale_property(self):
-        testbed = sdsc_pcl_testbed(seed=1996)
-        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        agent = make_jacobi_agent(
-            testbed, JacobiProblem(n=600, iterations=10), nws
-        )
-        cache = agent.info.begin_decision()
-        assert isinstance(cache, DecisionCache)
-        assert not cache.stale
-        nws.advance_to(100.0)
-        assert cache.stale
-
-    def test_begin_decision_discards_stale_reuse(self):
-        testbed = sdsc_pcl_testbed(seed=1996)
-        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        agent = make_jacobi_agent(
-            testbed, JacobiProblem(n=600, iterations=10), nws
-        )
-        first = agent.info.begin_decision()
-        first.memo[("probe",)] = "from-stale-state"
-        nws.advance_to(60.0)
-        second = agent.info.begin_decision(reuse=first)
-        assert second is not first
-        assert ("probe",) not in second.memo
-
-    def test_begin_decision_discards_mismatched_snapshot(self):
-        testbed = sdsc_pcl_testbed(seed=1996)
-        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        agent = make_jacobi_agent(
-            testbed, JacobiProblem(n=600, iterations=10), nws
-        )
-        cache = agent.info.begin_decision()
-        other = agent.info.pool.snapshot()
-        fresh = agent.info.begin_decision(snapshot=other, reuse=cache)
-        assert fresh is not cache
-        assert fresh.snapshot is other
-
-    def test_begin_decision_adopts_current_reuse(self):
-        testbed = sdsc_pcl_testbed(seed=1996)
-        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
-        agent = make_jacobi_agent(
-            testbed, JacobiProblem(n=600, iterations=10), nws
-        )
-        cache = agent.info.begin_decision()
-        cache.memo[("probe",)] = 42
-        again = agent.info.begin_decision(reuse=cache)
-        assert again is cache
-        assert again.memo[("probe",)] == 42
-
     def test_reuse_requires_nws(self):
         testbed = sdsc_pcl_testbed(seed=1996)
         with pytest.raises(ValueError, match="reuse"):
@@ -434,6 +385,28 @@ class TestReuseStaleness:
         # And the moved answers must differ from a stale replay wherever
         # the pool state actually changed the prediction.
         assert [a.at for a in moved] == [AT + 300.0] * 3
+
+    def test_infeasible_request_repeats_and_leaves_no_residue(self):
+        """A reusing service decides an infeasible request twice at one
+        pool state: both calls raise the same error, and a feasible
+        request afterwards equals a fresh service's answer."""
+        testbed = sdsc_pcl_testbed(seed=1996)
+        nws = NetworkWeatherService.for_testbed(testbed, seed=7)
+        service = SchedulingService(testbed, nws, reuse=True)
+        infeasible = DecisionRequest(
+            problem=JacobiProblem(n=10**9, iterations=20),
+            account_memory=True,
+            at=AT,
+        )
+        errors = []
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="no feasible schedule") as exc:
+                service.decide([infeasible])
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        feasible = [_request(k) for k in range(3)]
+        for got, want in zip(service.decide(feasible), _service_answers(feasible)):
+            assert _sig(got) == _sig(want)
 
     def test_daemon_path_staleness(self):
         """Same regression through the daemon: one shard, two instants."""
